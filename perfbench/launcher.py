@@ -31,9 +31,7 @@ async def serve(args: argparse.Namespace) -> None:
         recorder = shims.Recorder()
         shims.install_server(recorder, worker_trace=args.trace + ".worker")
     service = QuantileService(
-        engine_config=EngineConfig(
-            executor=args.executor, workers=args.workers, **common.ENGINE
-        ),
+        engine_config=EngineConfig(executor=args.executor, **common.ENGINE),
         config=ServiceConfig(port=0),
     )
     if recorder is not None:
@@ -53,7 +51,6 @@ async def serve(args: argparse.Namespace) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--executor", choices=("serial", "processes"), required=True)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--trace", default=None, metavar="FILE")
     asyncio.run(serve(parser.parse_args()))
     return 0

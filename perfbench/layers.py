@@ -134,9 +134,10 @@ def per_layer(traced: dict, plain: dict, client: Spans, trace_dir: str) -> dict:
     flushes = server.series["service.limits.jobs_per_flush"]
     metrics["service.limits.jobs_per_flush"] = sum(flushes) / len(flushes)
     metrics["service.limits.shed"] = len(server.series["service.limits.shed"])
-    hits = server.count["service.snapshots.read_index_hit"]
-    misses = server.count["service.snapshots.read_index_miss"]
-    metrics["engine.read_index_hit_ratio"] = hits / (hits + misses)
+    read_index = traced["read_index"]
+    metrics["engine.read_index_hit_ratio"] = read_index["hits"] / (
+        read_index["hits"] + read_index["misses"]
+    )
     cpu = traced["server_cpu_s"]
     metrics["service.cpu_s"] = cpu
     metrics["service.unattributed_share"] = 1 - server.root_cpu_ns / 1e9 / cpu
@@ -152,4 +153,4 @@ def per_layer(traced: dict, plain: dict, client: Spans, trace_dir: str) -> dict:
 
 
 def cpu_per_item(result: dict) -> float:
-    return result["server_cpu_s"] / max(1, result["tally"].items_in_phase)
+    return result["server_cpu_s"] / max(1, result["phase_items"])

@@ -82,8 +82,6 @@ class Server:
             str(common.ROOT / "perfbench" / "launcher.py"),
             "--executor",
             self.workload.executor,
-            "--workers",
-            str(self.workload.workers),
         ]
         if self.trace_path:
             command += ["--trace", self.trace_path]
@@ -125,17 +123,26 @@ async def close_all(clients) -> None:
         await client.aclose()
 
 
-def parse_metrics(text: str) -> tuple[int, dict[str, int]]:
-    """``(service_items_inserted_total, {code: service_responses_total})``."""
-    items = 0
+#: Unlabelled counters read from ``GET /metrics``.
+COUNTERS = (
+    "service_items_inserted_total",
+    "service_read_index_hits_total",
+    "service_read_index_misses_total",
+)
+
+
+async def scrape(client: QuantileClient) -> tuple[dict[str, int], dict[str, int]]:
+    """``({counter: value}, {code: service_responses_total})`` from /metrics."""
+    counters = dict.fromkeys(COUNTERS, 0)
     codes: dict[str, int] = {}
-    for line in text.splitlines():
-        if line.startswith("service_items_inserted_total"):
-            items = int(float(line.split()[-1]))
+    for line in (await client.fetch_metrics()).splitlines():
+        name, _, value = line.partition(" ")
+        if name in counters:
+            counters[name] = int(float(value))
         match = re.match(r'service_responses_total\{code="([^"]+)"\} (\S+)', line)
         if match:
             codes[match.group(1)] = int(float(match.group(2)))
-    return items, codes
+    return counters, codes
 
 
 async def final_check(workload, client: QuantileClient, tally, truth) -> dict:
@@ -210,6 +217,10 @@ async def _run_once(workload, seconds, trace_dir, servers: list) -> dict:
 
     for samples in tally.latency_ms.values():
         samples.clear()  # preload latencies are set-up, not the phase
+    # Spans, CPU and acked items below all cover one interval: from the
+    # phase start until the workload returns with every request answered.
+    counters_before, _ = await scrape(clients[-1])
+    acked_before = tally.items_acked
     harness_cpu = os.times()
     server_cpu = common.process_cpu_s(server.pid)
     phase_start_ns = perf_counter_ns()
@@ -217,18 +228,26 @@ async def _run_once(workload, seconds, trace_dir, servers: list) -> dict:
     lags: list[float] = []
     tick = asyncio.create_task(ticker(stop_tick, lags))
     phase = await workload.run(clients, tally, truth, seconds)
-    phase_end_ns = phase_start_ns + int(phase["phase_s"] * 1e9)
-    stop_tick.set()
-    await tick
+    phase_end_ns = perf_counter_ns()
     server_cpu = common.process_cpu_s(server.pid) - server_cpu
     harness_end = os.times()
     harness_cpu = (harness_end.user - harness_cpu.user) + (
         harness_end.system - harness_cpu.system
     )
+    phase_items = tally.items_acked - acked_before
+    stop_tick.set()
+    await tick
     peak_rss = common.peak_rss_mb(server.pid)
+    counters_after, _ = await scrape(clients[-1])
+    read_index = {
+        key: counters_after[f"service_read_index_{key}_total"]
+        - counters_before[f"service_read_index_{key}_total"]
+        for key in ("hits", "misses")
+    }
 
     verdict = await final_check(workload, clients[-1], tally, truth)
-    items, codes = parse_metrics(await clients[-1].fetch_metrics())
+    counters, codes = await scrape(clients[-1])
+    items = counters["service_items_inserted_total"]
     metrics_match = items == tally.items_acked and codes == dict(tally.codes)
     retries = sum(client.retries_used for client in clients)
     await close_all(clients)
@@ -237,6 +256,8 @@ async def _run_once(workload, seconds, trace_dir, servers: list) -> dict:
         "setups": setups,
         "phase": phase,
         "phase_window_ns": (phase_start_ns, phase_end_ns),
+        "phase_items": phase_items,
+        "read_index": read_index,
         "tally": tally,
         "truth_seconds": truth.seconds,
         "verdict": verdict,

@@ -151,22 +151,6 @@ def install_server(recorder: Recorder, worker_trace: str) -> None:
     patch(AccuracyAuditor, "observe_batch", "service.audit.observe")
     patch(AccuracyAuditor, "maybe_audit", "service.audit.audit")
 
-    read_index = Snapshot.read_index
-    hit_id = recorder.name_id("service.snapshots.read_index_hit")
-    miss_id = recorder.name_id("service.snapshots.read_index_miss")
-
-    @functools.wraps(read_index)
-    def traced_read_index(self):
-        if not recorder.recording():
-            return read_index(self)
-        index = recorder.begin(hit_id if self.index_ready else miss_id)
-        try:
-            return read_index(self)
-        finally:
-            recorder.finish(index)
-
-    Snapshot.read_index = traced_read_index
-
     try_put = BoundedQueue.try_put
 
     @functools.wraps(try_put)
@@ -212,15 +196,10 @@ def install_client(recorder: Recorder) -> None:
     from repro.service import frames, protocol
 
     for module, attribute in ((frames, "encode_insert"), (protocol, "encode_line")):
-        encode = getattr(module, attribute)
-        name_id = recorder.name_id("client.encode")
+        encode = recorder.wrap("client.encode", getattr(module, attribute))
 
-        def traced(*args, _encode=encode, _name_id=name_id, **kwargs):
-            index = recorder.begin(_name_id)
-            try:
-                payload = _encode(*args, **kwargs)
-            finally:
-                recorder.finish(index)
+        def traced(*args, _encode=encode, **kwargs):
+            payload = _encode(*args, **kwargs)
             if payload is not None:
                 recorder.sample("client.bytes_sent", perf_counter_ns(), len(payload))
             return payload

@@ -224,7 +224,6 @@ class Workload:
 
     name = ""
     executor = "serial"
-    workers = 1
     scale = 1
 
     def __init__(self, seed: int) -> None:
@@ -319,7 +318,6 @@ class MixedNdjson(Workload):
 class SteadyProcesses(Workload):
     name = "steady-processes"
     executor = "processes"
-    workers = 1
 
     def regenerate(self, frame_id: int) -> np.ndarray:
         return frame_values(self.seed, frame_id, STEADY_FRAME_VALUES)
