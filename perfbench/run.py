@@ -1,6 +1,6 @@
 """Canonical service benchmark: one workload against an out-of-process server.
 
-    python3 perfbench/run.py --workload ingest-frames --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload ingest-frames --seed 1 --seconds 30 --trace 0
 
 Each run launches ``perfbench/launcher.py`` (the real ``QuantileService``
 in its own process) five times; every launch is timed from process start
