@@ -51,7 +51,6 @@ from repro.model import (
     available_summaries,
     create_summary,
     equivalent,
-    register_summary,
 )
 from repro.streams import Stream
 from repro.summaries import (
@@ -81,7 +80,7 @@ from repro.core import (
 from repro.analysis import Table, gk_upper_bound, theorem22_lower_bound
 from repro.engine import EngineConfig, ShardedQuantileEngine, Telemetry
 from repro.obs import AdversaryTracer, MetricRegistry, ObservedSummary, trace_to
-from repro.model import merge_summaries, mergeable_summaries, register_merge
+from repro.model import merge_summaries, mergeable_summaries
 from repro.multipass import SelectionResult, multipass_median, multipass_select
 from repro.persistence import dump as dump_summary, load as load_summary
 from repro.summaries import SlidingWindowQuantiles, merge_gk
@@ -139,10 +138,8 @@ __all__ = [
     "merge_summaries",
     "mergeable_summaries",
     "multipass_median",
-    "register_merge",
     "multipass_select",
     "refine_intervals",
-    "register_summary",
     "theorem22_lower_bound",
     "trace_to",
     "verify_gap_bound",

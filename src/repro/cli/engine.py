@@ -171,7 +171,7 @@ def add_parsers(subparsers) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker count for the thread/process/processes executors",
+        help="worker-process count for the processes executor",
     )
     ingest.add_argument(
         "--executor",

@@ -27,7 +27,11 @@ from repro.model.registry import (
     summary_factory,
 )
 
-EXECUTORS = ("serial", "thread", "process", "processes")
+EXECUTORS = ("serial", "processes")
+# Executors older checkpoints may name.  Both kept shard state in the
+# engine's process, and the checkpoint carries that state, so they restore
+# as ``serial``.
+_RETIRED_EXECUTORS = {"thread": "serial", "process": "serial"}
 ROUTINGS = ("hash", "round-robin")
 MERGE_STRATEGIES = ("balanced", "left")
 LANES = ("items", "columnar")
@@ -52,17 +56,15 @@ class EngineConfig:
     shards:
         Number of independent per-shard summaries.
     workers:
-        Worker-pool size for parallel shard ingestion.  Only meaningful for
-        the ``thread``, ``process`` and ``processes`` executors (capped at
-        ``shards`` for ``processes``).
+        Worker-process count for the ``processes`` executor (capped at
+        ``shards``); ``serial`` ignores it.
     executor:
-        ``serial`` (in-loop), ``thread`` (a thread per busy shard, capped at
-        ``workers``), ``process`` (sub-batches summarised in worker
-        processes and merged in; requires a mergeable summary, like
-        queries), or ``processes`` (long-lived supervised worker processes
-        *own* disjoint shard subsets and stream batches through codec IPC —
-        real parallelism, bit-identical to ``serial``; see
-        :mod:`repro.engine.workers`).
+        ``serial`` (in-process, in the calling thread) or ``processes``
+        (long-lived supervised worker processes *own* disjoint shard
+        subsets and stream batches through codec IPC — real parallelism,
+        bit-identical to ``serial``; see :mod:`repro.engine.workers`).
+        Checkpoints naming the retired ``thread``/``process`` executors
+        load as ``serial``.
     routing:
         ``hash`` (value-hashed, same value always lands on the same shard) or
         ``round-robin`` (arrival-index modulo shards).  Both are
@@ -197,12 +199,13 @@ class EngineConfig:
             raise EngineError(
                 f"unsupported engine-config format {payload.get('format')!r}"
             )
+        executor = payload["executor"]
         return cls(
             summary=payload["summary"],
             epsilon=float(payload["epsilon"]),
             shards=int(payload["shards"]),
             workers=int(payload["workers"]),
-            executor=payload["executor"],
+            executor=_RETIRED_EXECUTORS.get(executor, executor),
             routing=payload["routing"],
             merge_strategy=payload["merge_strategy"],
             seed=int(payload["seed"]),

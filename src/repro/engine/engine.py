@@ -7,8 +7,8 @@ global quantile/rank queries by folding the shards through a merge tree
 (:mod:`repro.engine.merge_tree`).  Everything is deterministic by
 construction: routing is value- or index-based (:mod:`repro.engine.routing`),
 shard summaries are seeded per shard, and each shard is only ever touched by
-one worker at a time — so serial, threaded, process-pool and re-run
-executions produce bit-identical shard states.  Batches are applied through
+one worker at a time — so serial, process-pool and re-run executions
+produce bit-identical shard states.  Batches are applied through
 a pluggable :class:`~repro.engine.workers.base.ShardExecutor`
 (:mod:`repro.engine.workers`): the default keeps shards in-process, the
 ``processes`` executor moves shard ownership into supervised worker
@@ -195,13 +195,12 @@ class ShardedQuantileEngine:
             summary=self.config.summary,
             executor=self.config.executor,
         ) as ingest_span:
-            with self._executor.ingest_session():
-                for batch in _chunks(values, batch_size):
-                    self._ingest_batch(batch)
-                    batches += 1
-                # Barrier: remote executors pipeline batches, so the report
-                # (and any immediate read) must wait for the last apply.
-                self._executor.sync()
+            for batch in _chunks(values, batch_size):
+                self._ingest_batch(batch)
+                batches += 1
+            # Barrier: remote executors pipeline batches, so the report
+            # (and any immediate read) must wait for the last apply.
+            self._executor.sync()
             ingest_span.set(
                 items=self._items_ingested - items_before, batches=batches
             )
@@ -428,7 +427,7 @@ class ShardedQuantileEngine:
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release executor resources — worker processes, pools (idempotent).
+        """Release executor resources — worker processes (idempotent).
 
         Engines with in-process executors stay fully usable after close;
         process-pool engines must not ingest or read afterwards.

@@ -25,8 +25,8 @@ operations emitted in sorted order so checkpoint files are byte-stable and
 diffable.
 
 Thread-safety: the engine records telemetry only from its coordinator
-thread (worker threads touch shard summaries, never this object), so no
-locking is needed.
+thread (shard workers are separate processes that never touch this
+object), so no locking is needed.
 """
 
 from __future__ import annotations

@@ -6,16 +6,10 @@ every read of shard state goes through a :class:`ShardExecutor`.  The
 engine stays a coordinator; the executor decides *where* shard summaries
 live and *which interpreter* runs their batch kernels:
 
-* :class:`~repro.engine.workers.inline.SerialExecutor` — shards live in the
-  engine's process, batches apply in the calling thread.  The default, and
-  bit-identical to the engine's historical behaviour.
-* :class:`~repro.engine.workers.inline.ThreadExecutor` — same in-process
-  shards, one thread per busy shard (GIL-bound; useful for I/O-heavy
-  summary types only).
-* :class:`~repro.engine.workers.subbatch.SubbatchExecutor` — the legacy
-  ``process`` mode: sub-batches are summarised in short-lived worker
-  processes and *merged* into the coordinator's shards (mergeable-summary
-  style; shard state is merge-built, not stream-built).
+* :class:`~repro.engine.workers.inline.SerialExecutor` — the ``serial``
+  mode: shards live in the engine's process, batches apply in the calling
+  thread.  The default, and bit-identical to the engine's historical
+  behaviour.
 * :class:`~repro.engine.workers.pool.ProcessPoolExecutor` — the ``processes``
   mode: long-lived worker processes *own* disjoint subsets of the shards,
   receive routed sub-batches over codec IPC, apply them with the shard
@@ -32,7 +26,6 @@ runs of the same config produce bit-identical shard states.
 
 from __future__ import annotations
 
-import contextlib
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -45,9 +38,9 @@ class ShardExecutor(ABC):
 
     Lifecycle: the engine constructs the executor via
     :func:`~repro.engine.workers.create_executor`, calls :meth:`bind` once
-    with itself, then drives ``ingest_session``/``apply_batch``/``sync``
-    during ingest and ``collect``/``shard_counts`` at read/checkpoint time.
-    ``close`` releases any worker resources; it must be idempotent.
+    with itself, then drives ``apply_batch``/``sync`` during ingest and
+    ``collect``/``shard_counts`` at read/checkpoint time.  ``close``
+    releases any worker resources; it must be idempotent.
     """
 
     #: Registry name of the executor kind (mirrors ``EngineConfig.executor``).
@@ -71,15 +64,6 @@ class ShardExecutor(ABC):
         if self._engine is None:
             raise RuntimeError(f"{type(self).__name__} is not bound to an engine")
         return self._engine
-
-    def ingest_session(self) -> contextlib.AbstractContextManager:
-        """Context held for one :meth:`engine.ingest` call.
-
-        Inline executors return a null context; executors that want a
-        per-call worker pool (the legacy thread/sub-batch modes) create it
-        here so idle engines hold no threads or processes.
-        """
-        return contextlib.nullcontext()
 
     def close(self) -> None:
         """Release worker resources (idempotent; default: nothing to do)."""

@@ -1,19 +1,14 @@
-"""In-process executors: shards stay in the engine, batches apply locally.
+"""The in-process executor: shards stay in the engine, batches apply locally.
 
 :class:`SerialExecutor` is the default and reproduces the engine's
 historical serial ingest path exactly — same normalisation, same routing,
 same per-shard ``process_many`` calls in the same order — so its shard
 states are bit-identical to every pre-executor release.
-:class:`ThreadExecutor` keeps the shards in-process too but feeds busy
-shards from a per-ingest thread pool (one task per busy shard, so a shard
-is still only ever touched by one thread).
 """
 
 from __future__ import annotations
 
-import contextlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.engine.engine import as_fraction
 from repro.engine.routing import route_batch
@@ -21,110 +16,34 @@ from repro.engine.workers.base import ShardExecutor
 from repro.engine.workers.ipc import fast_int_buckets
 
 
-class _InlineExecutor(ShardExecutor):
-    """Shared plumbing for executors whose shards live in the engine."""
-
-    def _route(self, values: Sequence, already_ingested: int):
-        """Normalise and route one raw batch; returns (fractions, buckets, busy)."""
-        engine = self.engine
-        fractions = [as_fraction(value) for value in values]
-        buckets = route_batch(
-            fractions, engine.config.shards, engine.config.routing, already_ingested
-        )
-        busy = [index for index, bucket in enumerate(buckets) if bucket]
-        return fractions, buckets, busy
-
-    def _numeric_buckets(self, values: Sequence, already_ingested: int):
-        """Columnar-lane routing: raw int buckets, or None to use `_route`.
-
-        Only batches faithful to their int64 image qualify (the
-        :func:`fast_int_buckets` contract); anything else — non-integral
-        floats, huge ints, malformed records — returns None so the
-        Fraction path keeps owning both the semantics and the errors.
-        """
-        if self.engine.config.lane != "columnar":
-            return None
-        return fast_int_buckets(
-            values,
-            self.engine.config.shards,
-            self.engine.config.routing,
-            already_ingested,
-        )
-
-    def shard_counts(self) -> list[int]:
-        return [summary.n for summary in self.engine._shards]
-
-
-class SerialExecutor(_InlineExecutor):
+class SerialExecutor(ShardExecutor):
     """Apply every busy shard's bucket in the calling thread (the default)."""
 
     kind = "serial"
 
     def apply_batch(self, values: Sequence, already_ingested: int) -> tuple[int, int]:
         engine = self.engine
-        numeric = self._numeric_buckets(values, already_ingested)
+        config = engine.config
+        # Columnar-lane routing: only batches faithful to their int64 image
+        # qualify (the :func:`fast_int_buckets` contract); anything else —
+        # non-integral floats, huge ints, malformed records — yields None so
+        # the Fraction path keeps owning both the semantics and the errors.
+        numeric = (
+            fast_int_buckets(values, config.shards, config.routing, already_ingested)
+            if config.lane == "columnar"
+            else None
+        )
         if numeric is not None:
             busy = [index for index, bucket in enumerate(numeric) if bucket]
             for index in busy:
                 engine._feed_shard_numeric(index, numeric[index])
             return len(values), len(busy)
-        fractions, buckets, busy = self._route(values, already_ingested)
+        fractions = [as_fraction(value) for value in values]
+        buckets = route_batch(fractions, config.shards, config.routing, already_ingested)
+        busy = [index for index, bucket in enumerate(buckets) if bucket]
         for index in busy:
             engine._feed_shard(index, buckets[index])
         return len(fractions), len(busy)
 
-
-class ThreadExecutor(_InlineExecutor):
-    """One thread-pool task per busy shard, ``workers`` threads per ingest.
-
-    GIL-bound for pure-Python kernels; useful mainly for summary types whose
-    processing releases the GIL.  Deterministic regardless: each shard is
-    touched by exactly one task, so no locks and no interleaving within a
-    shard.
-    """
-
-    kind = "thread"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pool: ThreadPoolExecutor | None = None
-
-    @contextlib.contextmanager
-    def _session(self) -> Iterator[None]:
-        self._pool = ThreadPoolExecutor(max_workers=self.engine.config.workers)
-        try:
-            yield
-        finally:
-            self._pool.shutdown()
-            self._pool = None
-
-    def ingest_session(self):
-        return self._session()
-
-    def apply_batch(self, values: Sequence, already_ingested: int) -> tuple[int, int]:
-        engine = self.engine
-        numeric = self._numeric_buckets(values, already_ingested)
-        if numeric is not None:
-            busy = [index for index, bucket in enumerate(numeric) if bucket]
-            if self._pool is not None and len(busy) > 1:
-                list(
-                    self._pool.map(
-                        lambda index: engine._feed_shard_numeric(index, numeric[index]),
-                        busy,
-                    )
-                )
-            else:
-                for index in busy:
-                    engine._feed_shard_numeric(index, numeric[index])
-            return len(values), len(busy)
-        fractions, buckets, busy = self._route(values, already_ingested)
-        if self._pool is not None and len(busy) > 1:
-            list(
-                self._pool.map(
-                    lambda index: engine._feed_shard(index, buckets[index]), busy
-                )
-            )
-        else:
-            for index in busy:
-                engine._feed_shard(index, buckets[index])
-        return len(fractions), len(busy)
+    def shard_counts(self) -> list[int]:
+        return [summary.n for summary in self.engine._shards]

@@ -1,8 +1,7 @@
 """The ``processes`` executor: worker processes own the shards.
 
-Unlike the legacy sub-batch mode, shard summaries *live* in long-running
-worker processes here.  The coordinator's per-batch work shrinks to routing
-and cheap encoding:
+Shard summaries *live* in long-running worker processes here.  The
+coordinator's per-batch work shrinks to routing and cheap encoding:
 
 * When a raw batch is int-faithful (the common synthetic/bench shape),
   routing runs on the ints directly (:func:`~repro.engine.workers.ipc

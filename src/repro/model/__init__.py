@@ -25,8 +25,6 @@ from repro.model.registry import (
     has_merge,
     merge_summaries,
     mergeable_summaries,
-    register_merge,
-    register_summary,
 )
 
 __all__ = [
@@ -41,6 +39,4 @@ __all__ = [
     "merge_summaries",
     "mergeable_summaries",
     "promote_to_columnar",
-    "register_merge",
-    "register_summary",
 ]

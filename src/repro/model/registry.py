@@ -26,14 +26,13 @@ to know about the type:
   Definition 2.1, mirrored from the class.
 
 Adding a summary type is therefore one registration, not four parallel
-edits.  The legacy helpers (:func:`register_summary`, :func:`register_merge`)
-remain as thin wrappers that fill in the corresponding descriptor fields.
+edits.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import UnsupportedMergeError
@@ -176,20 +175,7 @@ def descriptor_for_payload(type_name: str) -> SummaryDescriptor | None:
     return None
 
 
-# -- factories (legacy surface) -----------------------------------------------------
-
-
-def register_summary(name: str, factory: SummaryFactory) -> None:
-    """Register ``factory`` under ``name``; re-registration must be identical.
-
-    Thin wrapper over :func:`register_descriptor` kept for compatibility; it
-    creates a descriptor carrying only the factory (plus any merge already
-    attached via :func:`register_merge`).
-    """
-    existing = _DESCRIPTORS.get(name)
-    if existing is not None and existing.factory is factory:
-        return
-    register_descriptor(name, factory)
+# -- factories ---------------------------------------------------------------------
 
 
 def create_summary(name: str, epsilon: float, **kwargs) -> QuantileSummary:
@@ -236,24 +222,6 @@ def merge_by_absorbing(
     merged = copy.deepcopy(first)
     merged.merge(second)
     return merged
-
-
-def register_merge(name: str, merge: MergeFunction) -> None:
-    """Register ``merge`` for the summary type named ``name``.
-
-    Re-registration must be identical, mirroring :func:`register_summary`.
-    The contract for ``merge(first, second)``: return a summary over the
-    concatenation of both input streams, leave both inputs intact, and raise
-    ``TypeError`` if ``second`` is of an incompatible type.
-    """
-    existing = _DESCRIPTORS.get(name)
-    if existing is None:
-        _DESCRIPTORS[name] = SummaryDescriptor(name=name, merge=merge)
-        return
-    if existing.merge is not None and existing.merge is not merge:
-        raise ValueError(f"merge for summary {name!r} is already registered")
-    if existing.merge is None:
-        _DESCRIPTORS[name] = replace(existing, merge=merge)
 
 
 def has_merge(name: str) -> bool:

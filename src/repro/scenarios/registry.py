@@ -76,8 +76,7 @@ class Scenario:
     engine_epsilon: float = 0.02
     shards: int = 2
     audit_fraction: float = 0.25
-    #: Engine executor for self-hosted runs (``serial``/``thread``/
-    #: ``process``/``processes``).
+    #: Engine executor for self-hosted runs (``serial``/``processes``).
     executor: str = "serial"
     workers: int = 1
     #: When non-empty, the self-hosted runner replays the same seeded

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-from bisect import bisect_left, bisect_right
 from datetime import datetime, timezone
 from fractions import Fraction
 from time import perf_counter_ns
@@ -40,7 +39,7 @@ from repro.scenarios.registry import Scenario, get_scenario
 from repro.scenarios.report import CanaryReport, shed_rate_of
 from repro.scenarios.traffic import connector_source, connector_values, insert_batches
 from repro.service.client import QuantileClient
-from repro.service.loadgen import LoadReport
+from repro.service.loadgen import LoadReport, interval_rank_error
 
 #: Generous per-request deadline: canary runs measure accuracy and real
 #: shedding, not artificial deadline pressure.
@@ -52,25 +51,6 @@ LATENCY_PHIS = (0.5, 0.95, 0.99)
 def _wire(value):
     """Exact wire form: Fractions as strings, ints as JSON numbers."""
     return str(value) if isinstance(value, Fraction) else value
-
-
-def _interval_rank_error(ordered, value: Fraction, target: float) -> float:
-    """Distance from ``target`` to ``value``'s exact rank interval, over n.
-
-    A value that appears ``t`` times occupies the rank interval
-    ``[#(< value), #(<= value)]``; any served rank inside it is exactly
-    correct.  ``ordered`` is the sorted ground truth.
-    """
-    n = len(ordered)
-    if n == 0:
-        return 0.0
-    low = bisect_left(ordered, value)
-    high = bisect_right(ordered, value)
-    if target < low:
-        return (low - target) / n
-    if target > high:
-        return (target - high) / n
-    return 0.0
 
 
 async def _writer(
@@ -192,7 +172,7 @@ async def _final_accuracy(
         per_phi: dict[str, float] = {}
         for entry in answers["results"]:
             served = Fraction(entry["value"])
-            per_phi[f"{entry['phi']:g}"] = _interval_rank_error(
+            per_phi[f"{entry['phi']:g}"] = interval_rank_error(
                 ordered, served, entry["phi"] * n
             )
         accuracy["per_phi"] = per_phi
@@ -219,7 +199,7 @@ async def _final_accuracy(
                 for entry, value in zip(response["results"], probes):
                     probe_error = max(
                         probe_error,
-                        _interval_rank_error(ordered, value, entry["rank"]),
+                        interval_rank_error(ordered, value, entry["rank"]),
                     )
         accuracy["rank_probes"] = scenario.rank_probes
         accuracy["rank_probe_max_error"] = probe_error

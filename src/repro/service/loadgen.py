@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,17 +146,18 @@ class LoadReport:
         return bisect_right(ordered, Fraction(value))
 
     def max_rank_error(self, answers: dict) -> float:
-        """Largest |rank error| / n over a ``query`` response's results."""
+        """Largest :func:`interval_rank_error` over a ``query`` response's results."""
         n = len(self.inserted)
         if n == 0:
             return 0.0
         ordered = sorted(Fraction(v) for v in self.inserted)
-        worst = 0.0
-        for entry in answers["results"]:
-            target_rank = entry["phi"] * n
-            served_rank = bisect_right(ordered, Fraction(entry["value"]))
-            worst = max(worst, abs(served_rank - target_rank) / n)
-        return worst
+        return max(
+            (
+                interval_rank_error(ordered, Fraction(entry["value"]), entry["phi"] * n)
+                for entry in answers["results"]
+            ),
+            default=0.0,
+        )
 
     # -- reporting ------------------------------------------------------------------
 
@@ -187,6 +188,25 @@ class LoadReport:
                 for op in sorted(self.histograms)
             },
         }
+
+
+def interval_rank_error(ordered, value: Fraction, target: float) -> float:
+    """Distance from ``target`` to ``value``'s exact rank interval, over n.
+
+    A value that appears ``t`` times occupies the rank interval
+    ``[#(< value), #(<= value)]``; any served rank inside it is exactly
+    correct.  ``ordered`` is the sorted ground truth.
+    """
+    n = len(ordered)
+    if n == 0:
+        return 0.0
+    low = bisect_left(ordered, value)
+    high = bisect_right(ordered, value)
+    if target < low:
+        return (low - target) / n
+    if target > high:
+        return (target - high) / n
+    return 0.0
 
 
 def _schedule(index: int, config: LoadConfig) -> list[tuple[str, list | None]]:

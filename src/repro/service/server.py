@@ -271,6 +271,10 @@ class QuantileService:
         self._queue_depth = reg.gauge(
             SERVICE_NAMESPACE + "queue_depth", help="ingest jobs waiting"
         )
+        self._items_inserted = reg.counter(
+            SERVICE_NAMESPACE + "items_inserted_total",
+            help="values accepted into the engine",
+        )
         self._open_connections = reg.gauge(
             SERVICE_NAMESPACE + "open_connections", help="live client sockets"
         )
@@ -423,6 +427,7 @@ class QuantileService:
                         )
                 return
         self._flush_items.observe(total)
+        self._items_inserted.inc(total)
         self._snapshot_epoch.set(snapshot.epoch)
         for payload in payloads:
             # Lane-agnostic: the reservoir samples raw buffers and exact
@@ -615,19 +620,17 @@ class QuantileService:
             return self._op_stats(request)
         raise _Shed(protocol.ERR_BAD_REQUEST, f"unhandled op {op!r}")
 
-    async def _op_insert(self, request: protocol.Request, deadline: Deadline) -> dict:
+    def _admit(self, values, deadline: Deadline) -> IngestJob:
+        """Queue one validated insert for the single writer, or raise :class:`_Shed`.
+
+        The one admission path for both wire dialects: each decodes and
+        validates its own values first, then hands them here.
+        """
         if self._draining:
             self._count_shed("shutdown")
             raise _Shed(
                 protocol.ERR_SHUTTING_DOWN, "service is draining; retry elsewhere"
             )
-        if len(request.values) > self.config.max_values_per_insert:
-            raise _Shed(
-                protocol.ERR_BAD_REQUEST,
-                f"insert carries {len(request.values)} values; the cap is "
-                f"{self.config.max_values_per_insert} per request",
-            )
-        values = [as_fraction(value) for value in request.values]  # EngineError -> bad_value
         job = IngestJob(
             values=values,
             deadline=deadline,
@@ -641,11 +644,18 @@ class QuantileService:
                 "retry with backoff",
             )
         self._queue_depth.set(self._queue.depth)
-        result = await job.future  # the ingest loop always resolves this
-        self.registry.counter(
-            SERVICE_NAMESPACE + "items_inserted_total",
-            help="values accepted into the engine",
-        ).inc(result["items"])
+        return job
+
+    async def _op_insert(self, request: protocol.Request, deadline: Deadline) -> dict:
+        if len(request.values) > self.config.max_values_per_insert:
+            raise _Shed(
+                protocol.ERR_BAD_REQUEST,
+                f"insert carries {len(request.values)} values; the cap is "
+                f"{self.config.max_values_per_insert} per request",
+            )
+        values = [as_fraction(value) for value in request.values]  # EngineError -> bad_value
+        # The ingest loop always resolves the admitted job's future.
+        result = await self._admit(values, deadline).future
         return protocol.ok_response(request.id, **result)
 
     def _count_read_index(self, snapshot) -> None:
@@ -797,31 +807,11 @@ class QuantileService:
                 "f64 frame carries non-finite values (nan/inf)",
             )
             return True
-        if self._draining:
-            self._count_shed("shutdown")
-            await self._admit_error_frame(
-                queue,
-                request_id,
-                protocol.ERR_SHUTTING_DOWN,
-                "service is draining; retry elsewhere",
-            )
+        try:
+            job = self._admit(buffer, Deadline(self.config.default_deadline_ms))
+        except _Shed as shed:
+            await self._admit_error_frame(queue, request_id, shed.code, shed.message)
             return True
-        job = IngestJob(
-            values=buffer,
-            deadline=Deadline(self.config.default_deadline_ms),
-            future=asyncio.get_running_loop().create_future(),
-        )
-        if not self._queue.try_put(job):
-            self._count_shed("queue_full")
-            await self._admit_error_frame(
-                queue,
-                request_id,
-                protocol.ERR_OVERLOADED,
-                f"ingest queue is full ({self.config.max_queue_jobs} jobs); "
-                "retry with backoff",
-            )
-            return True
-        self._queue_depth.set(self._queue.depth)
         await queue.put(("job", request_id, job, started))
         return True
 
@@ -887,10 +877,6 @@ class QuantileService:
                     request_id, protocol.ERR_INTERNAL, str(error)
                 )
             else:
-                self.registry.counter(
-                    SERVICE_NAMESPACE + "items_inserted_total",
-                    help="values accepted into the engine",
-                ).inc(result["items"])
                 self._count_response("ok")
                 frame = frames.encode_ack(
                     request_id, result["items"], result["n"], result["epoch"]

@@ -223,7 +223,7 @@ def test_engine_config_payload_round_trip_and_compat():
     assert EngineConfig.from_payload(payload).lane == "items"
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_engine_lane_equivalence(executor):
     """Every executor serves identical answers from either lane."""
     rng = random.Random(31)

@@ -131,3 +131,22 @@ class TestHistogramLatencies:
         p50 = summary["latency_us"]["insert"]["p50"]
         assert p50 == pytest.approx(500, abs=25)
         assert summary["ops"] == 1000
+
+
+class TestRankError:
+    """``max_rank_error`` judges answers against exact rank intervals."""
+
+    def test_duplicates_answer_exactly_anywhere_in_their_interval(self):
+        # 100 copies of 5 occupy ranks [0, 100]: 5 is the exact answer
+        # for every phi, so the error is zero (a point rank said 0.5).
+        report = LoadReport(inserted=[5] * 100)
+        answers = {
+            "results": [{"phi": phi, "value": "5"} for phi in (0.0, 0.5, 1.0)]
+        }
+        assert report.max_rank_error(answers) == 0.0
+
+    def test_answers_outside_the_interval_measure_the_gap(self):
+        # 5 occupies ranks [50, 100]; the phi=0.2 target rank 20 is 30 short.
+        report = LoadReport(inserted=[1] * 50 + [5] * 50)
+        answers = {"results": [{"phi": 0.2, "value": "5"}]}
+        assert report.max_rank_error(answers) == pytest.approx(0.3)

@@ -6,10 +6,11 @@ from repro.errors import UnsupportedMergeError
 from repro.model.registry import (
     available_summaries,
     create_summary,
+    get_descriptor,
     has_merge,
     merge_summaries,
     mergeable_summaries,
-    register_merge,
+    register_descriptor,
 )
 from repro.summaries.gk import GreenwaldKhanna
 from repro.universe.item import key_of
@@ -39,11 +40,21 @@ class TestRegistry:
             assert not has_merge(name)
 
     def test_reregistration_must_be_identical(self):
-        from repro.summaries.merging import merge_gk
-
-        register_merge("gk", merge_gk)  # same function: fine
+        gk = get_descriptor("gk")
+        fields = dict(
+            cls=gk.cls,
+            merge=gk.merge,
+            encode=gk.encode,
+            decode=gk.decode,
+            payload_type=gk.payload_type,
+            has_batch_kernel=gk.has_batch_kernel,
+            compile_index=gk.compile_index,
+        )
+        register_descriptor("gk", gk.factory, **fields)  # identical: fine
+        assert get_descriptor("gk") == gk
         with pytest.raises(ValueError):
-            register_merge("gk", lambda a, b: a)
+            register_descriptor("gk", lambda eps: GreenwaldKhanna(eps), **fields)
+        assert get_descriptor("gk") == gk
 
 
 class TestMergeSummaries:

@@ -9,8 +9,8 @@ from repro.model import (
     available_summaries,
     create_summary,
     equivalent,
-    register_summary,
 )
+from repro.model.registry import register_descriptor
 from repro.universe.item import Item
 
 
@@ -133,10 +133,10 @@ class TestRegistry:
             create_summary("nope", epsilon=0.1)
 
     def test_duplicate_registration_rejected(self):
-        register_summary("keep-all-test-unique", KeepAll)
+        register_descriptor("keep-all-test-unique", KeepAll)
         with pytest.raises(ValueError):
-            register_summary("keep-all-test-unique", lambda eps: KeepAll(eps))
+            register_descriptor("keep-all-test-unique", lambda eps: KeepAll(eps))
 
     def test_idempotent_reregistration_allowed(self):
-        register_summary("keep-all-test-idem", KeepAll)
-        register_summary("keep-all-test-idem", KeepAll)
+        register_descriptor("keep-all-test-idem", KeepAll)
+        register_descriptor("keep-all-test-idem", KeepAll)

@@ -27,6 +27,9 @@ from repro.service import (
 
 EPSILON = 0.02
 
+#: Both wire dialects; inserts on either share one admission path.
+WIRES = ("ndjson", "frames")
+
 
 def make_service(**service_kwargs) -> QuantileService:
     return QuantileService(
@@ -187,7 +190,8 @@ class TestDeadlinesAndShedding:
         assert codes == [protocol.ERR_DEADLINE, protocol.ERR_DEADLINE]
         assert shed_count >= 2
 
-    def test_full_queue_sheds_with_overloaded(self):
+    @pytest.mark.parametrize("wire", WIRES)
+    def test_full_queue_sheds_with_overloaded(self, wire):
         async def scenario():
             service = make_service(max_queue_jobs=2, drain_timeout_s=0.2)
             port = await started(service)
@@ -200,9 +204,10 @@ class TestDeadlinesAndShedding:
             service._ingest_task.cancel()
             service._ingest_task = asyncio.create_task(service._ingest_loop())
 
-            clients = [QuantileClient("127.0.0.1", port) for _ in range(3)]
+            clients = [QuantileClient("127.0.0.1", port, wire=wire) for _ in range(3)]
             for client in clients:
                 await client.connect()
+                assert client.frames_active == (wire == "frames")
             stuck = [
                 asyncio.create_task(client.insert([index]))
                 for index, client in enumerate(clients[:2])
@@ -211,16 +216,20 @@ class TestDeadlinesAndShedding:
             with pytest.raises(RequestFailed) as excinfo:
                 await clients[2].insert([99])
             shed = service.registry.get("service_shed_total", reason="queue_full")
+            answered = service.registry.get(
+                "service_responses_total", code=protocol.ERR_OVERLOADED
+            )
             for task in stuck:
                 task.cancel()
             for client in clients:
                 await client.aclose()
             await service.stop()
-            return excinfo.value.code, shed.value
+            return excinfo.value.code, shed.value, answered.value
 
-        code, shed_count = run(scenario())
+        code, shed_count, answered = run(scenario())
         assert code == protocol.ERR_OVERLOADED
-        assert shed_count >= 1
+        assert shed_count == 1
+        assert answered == 1
 
 
 class TestGracefulDrain:
@@ -260,20 +269,29 @@ class TestGracefulDrain:
         assert service.engine.items_ingested == acked
         assert service.snapshots.current().items == acked
 
-    def test_inserts_after_drain_get_shutting_down(self):
+    @pytest.mark.parametrize("wire", WIRES)
+    def test_inserts_after_drain_get_shutting_down(self, wire):
         async def scenario():
             service = make_service()
             port = await started(service)
-            async with QuantileClient("127.0.0.1", port) as client:
+            async with QuantileClient("127.0.0.1", port, wire=wire) as client:
+                assert client.frames_active == (wire == "frames")
                 await client.insert([1, 2, 3])
                 service._draining = True  # what stop() sets first
                 with pytest.raises(RequestFailed) as excinfo:
                     await client.insert([4])
+            shed = service.registry.get("service_shed_total", reason="shutdown")
+            answered = service.registry.get(
+                "service_responses_total", code=protocol.ERR_SHUTTING_DOWN
+            )
             service._draining = False
             await service.stop()
-            return excinfo.value.code
+            return excinfo.value.code, shed.value, answered.value
 
-        assert run(scenario()) == protocol.ERR_SHUTTING_DOWN
+        code, shed_count, answered = run(scenario())
+        assert code == protocol.ERR_SHUTTING_DOWN
+        assert shed_count == 1
+        assert answered == 1
 
     def test_restored_engine_serves_immediately(self, tmp_path):
         checkpoint = tmp_path / "service.jsonl"
