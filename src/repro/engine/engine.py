@@ -246,19 +246,23 @@ class ShardedQuantileEngine:
         """Sync the local shard mirror with a remote executor's state.
 
         No-op for in-process executors.  For the process-pool executor, the
-        collected payloads are cached against the ingest generation, so
+        collected shard states are cached against the ingest generation, so
         repeated reads without an intervening ingest collect exactly once.
+        Columnar GK shards decode back onto the columnar lane, so the fold
+        merges raw int keys exactly as the serial executor's shards do.
         """
         if not self._executor.remote:
             return
         if self._collect_generation == self._read_generation:
             return
-        payloads = self._executor.collect()
-        if payloads is not None:
-            self._universes = [Universe() for _ in payloads]
+        states = self._executor.collect()
+        if states is not None:
+            from repro.engine.workers.ipc import decode_shard_state
+
+            self._universes = [Universe() for _ in states]
             self._shards = [
-                load_summary(payload, universe)
-                for payload, universe in zip(payloads, self._universes)
+                decode_shard_state(state, universe)
+                for state, universe in zip(states, self._universes)
             ]
             self._merged = None
         self._collect_generation = self._read_generation
@@ -419,7 +423,7 @@ class ShardedQuantileEngine:
         engine._batches = parts["batches"]
         # Push the restored shard states into the executor (remote executors
         # forward them to their workers); the mirror is in sync by build.
-        engine._executor.restore(parts["shard_payloads"])
+        engine._executor.restore(engine._shards)
         engine._collect_generation = engine._read_generation
         engine.telemetry.count("restores")
         return engine

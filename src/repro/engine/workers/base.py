@@ -89,17 +89,18 @@ class ShardExecutor(ABC):
     def shard_counts(self) -> list[int]:
         """Per-shard item counts (``summary.n``) after the last sync."""
 
-    def collect(self) -> list[dict] | None:
-        """Encoded per-shard summary payloads, or None for in-process shards.
+    def collect(self) -> list[tuple] | None:
+        """Encoded per-shard states, or None for in-process shards.
 
-        Remote executors ship each shard summary through the
-        :mod:`repro.persistence` codec; the engine decodes them into its
-        local mirror before merge-tree folds and checkpoints.
+        Remote executors ship each shard summary through
+        :func:`~repro.engine.workers.ipc.encode_shard_state`; the engine
+        decodes them into its local mirror before merge-tree folds and
+        checkpoints.
         """
         return None
 
-    def restore(self, payloads: Sequence[dict]) -> None:
-        """Reset shard state from checkpoint payloads (engine.restore path)."""
+    def restore(self, shards: Sequence) -> None:
+        """Reset shard state to the engine's just-restored shard summaries."""
 
     # -- reporting -----------------------------------------------------------------
 

@@ -7,17 +7,28 @@ Coordinator -> worker::
 
     ("batch",   batch_id, [(shard_index, mode, values), ...])
     ("collect", request_id)          # ship encoded shards + metric deltas
-    ("restore", {shard_index: summary_payload | None})
+    ("restore", {shard_index: shard_state | None})
     ("ping",    request_id)
     ("stop",)
 
 Worker -> coordinator::
 
     ("applied", batch_id, {shard_index: n_after})
-    ("state",   request_id, {shard_index: summary_payload},
+    ("state",   request_id, {shard_index: shard_state},
                 registry_payload, [span_dict, ...])
     ("pong",    request_id, info_dict)
     ("error",   message, traceback_text)
+
+A ``shard_state`` is ``(form, body)`` from :func:`encode_shard_state`, the
+one codec for shard summaries crossing the pipe in either direction:
+
+* ``"columns"`` — a columnar-lane ``gk``/``gk-greedy`` shard whose keys all
+  fit int64: three ``array('q')`` buffers (key, g, Delta) plus the scalar
+  state, laid out by :func:`repro.summaries.gk.encode_gk_columns`.  It
+  decodes straight back into the columnar lane, so the coordinator's shard
+  mirror keeps raw int keys and merges them without building a Fraction.
+* ``"payload"`` — every other shard (items lane, float or beyond-int64
+  keys, other summary types) as its :mod:`repro.persistence` payload.
 
 Values ride in one of three encodings chosen per sub-batch:
 
@@ -38,9 +49,6 @@ routes *before* any Fraction is built, using :func:`route_int_batch` — an
 int-specialised twin of :func:`repro.engine.routing.route_batch` that
 produces bit-identical bucket assignments (``Fraction(v)`` has numerator
 ``v`` and denominator 1, and SplitMix64 only ever sees those two ints).
-Summaries themselves always travel as :mod:`repro.persistence` payloads —
-the same codec checkpoints use — so worker state is exactly as durable and
-diffable as checkpointed state.
 """
 
 from __future__ import annotations
@@ -50,6 +58,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from repro.engine.routing import _MASK64, _splitmix64
+from repro.persistence import dump as dump_summary, load as load_summary
+from repro.summaries.gk import decode_gk_columns, encode_gk_columns
+from repro.universe.universe import Universe
 
 try:  # optional: vectorised routing fast path (pure-Python fallback below)
     import numpy as _np
@@ -237,3 +248,36 @@ def decode_values(mode: str, payload) -> list[Fraction]:
         # to the identical rationals the ints encoding would have carried.
         return [Fraction(value) for value in decode_numeric(mode, payload)]
     raise ValueError(f"unknown value encoding {mode!r}")
+
+
+#: Shard-state forms (see the module docstring).
+STATE_COLUMNS = "columns"
+STATE_PAYLOAD = "payload"
+
+
+def encode_shard_state(summary) -> tuple:
+    """Encode one shard summary for the worker pipe as ``(form, body)``.
+
+    The form follows the shard's own state: columnar ``gk``/``gk-greedy``
+    shards with int64 keys ship as column buffers, everything else as its
+    :mod:`repro.persistence` payload.
+    """
+    columns = encode_gk_columns(summary)
+    if columns is not None:
+        return STATE_COLUMNS, columns
+    return STATE_PAYLOAD, dump_summary(summary)
+
+
+def decode_shard_state(state: tuple, universe: Universe):
+    """Rebuild the shard summary :func:`encode_shard_state` encoded.
+
+    Column state comes back on the columnar lane with raw int keys; payload
+    state comes back through :func:`repro.persistence.load` on the items
+    lane, its Items drawn from ``universe``.
+    """
+    form, body = state
+    if form == STATE_COLUMNS:
+        return decode_gk_columns(body)
+    if form == STATE_PAYLOAD:
+        return load_summary(body, universe)
+    raise ValueError(f"unknown shard-state form {form!r}")

@@ -22,8 +22,10 @@ coordinator's per-batch work shrinks to routing and cheap encoding:
 Batches pipeline: ``apply_batch`` returns once the sub-batches are on the
 pipes, the supervisor's ack window bounds the in-flight depth, and the
 engine's end-of-ingest ``sync`` is the only barrier.  Reads go through
-:meth:`collect`, which ships every shard back through the same
-:mod:`repro.persistence` codec that checkpoints use.
+:meth:`collect`, which ships every shard back through the shard-state codec
+(:func:`~repro.engine.workers.ipc.encode_shard_state`): a columnar GK shard
+crosses the pipe as three int64 column buffers, any other shard as the
+:mod:`repro.persistence` payload that checkpoints use.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.engine.workers.ipc import (
     MODE_INTS,
     encode_fractions,
     encode_int_bucket,
+    encode_shard_state,
     fast_int_buckets,
 )
 from repro.engine.workers.supervisor import Supervisor
@@ -116,12 +119,14 @@ class ProcessPoolExecutor(ShardExecutor):
         supervisor.sync()
         return supervisor.shard_counts()
 
-    def collect(self) -> list[dict]:
+    def collect(self) -> list[tuple]:
         return self.supervisor.collect_states()
 
-    def restore(self, payloads: Sequence[dict]) -> None:
-        counts = [summary.n for summary in self.engine._shards]
-        self.supervisor.restore(list(payloads), counts)
+    def restore(self, shards: Sequence) -> None:
+        self.supervisor.restore(
+            [encode_shard_state(shard) for shard in shards],
+            [shard.n for shard in shards],
+        )
 
     # -- reporting -----------------------------------------------------------------
 

@@ -123,8 +123,10 @@ class WorkerHandle:
         self.requests: deque[tuple[int, int]] = deque()
         #: Last acknowledged ``summary.n`` per owned shard.
         self.counts: dict[int, int] = {index: 0 for index in self.shard_indexes}
-        #: Last snapshot payload per owned shard (None = fresh summary).
-        self.snapshot: dict[int, dict | None] = {
+        #: Last snapshot per owned shard, as
+        #: :func:`~repro.engine.workers.ipc.encode_shard_state` encoded it
+        #: (None = fresh summary).
+        self.snapshot: dict[int, tuple | None] = {
             index: None for index in self.shard_indexes
         }
         self.acked_since_snapshot = 0
@@ -339,14 +341,14 @@ class Supervisor:
             ):
                 self._request_state(handle)
         elif kind == "state":
-            _, request_id, payloads, registry_payload, span_records = message
+            _, request_id, states, registry_payload, span_records = message
             if not handle.requests or handle.requests[0][0] != request_id:
                 raise EngineError(
                     f"shard worker {handle.worker_id} sent an unexpected "
                     "state frame"
                 )
             _, cut = handle.requests.popleft()
-            handle.snapshot = dict(payloads)
+            handle.snapshot = dict(states)
             del handle.log[:cut]
             handle.acked_since_snapshot = 0
             self._absorb(registry_payload, span_records)
@@ -386,8 +388,8 @@ class Supervisor:
         handle.requests.append((request_id, len(handle.log)))
         return request_id
 
-    def collect_states(self) -> list[dict]:
-        """Fresh encoded payloads for every shard, in shard order.
+    def collect_states(self) -> list[tuple]:
+        """Fresh encoded shard states for every shard, in shard order.
 
         Doubles as a snapshot: each answered request resets the worker's
         replay log, so collection also tightens the crash-recovery window.
@@ -406,13 +408,13 @@ class Supervisor:
                 # process. Drain the replay acks, then ask again.
                 while handle.pending or handle.requests:
                     self._pump(handle, block=True)
-        payloads: dict[int, dict] = {}
+        states: dict[int, tuple] = {}
         for handle in self._handles:
-            payloads.update(handle.snapshot)
-        return [payloads[index] for index in range(self.config.shards)]
+            states.update(handle.snapshot)
+        return [states[index] for index in range(self.config.shards)]
 
-    def restore(self, payloads: list, counts: list[int]) -> None:
-        """Reset every worker's shards from checkpoint payloads."""
+    def restore(self, states: list[tuple], counts: list[int]) -> None:
+        """Reset every worker's shards from encoded shard states."""
         self.sync()
         for handle in self._handles:
             handle.log.clear()
@@ -420,7 +422,7 @@ class Supervisor:
             handle.requests.clear()
             handle.acked_since_snapshot = 0
             handle.snapshot = {
-                index: payloads[index] for index in handle.shard_indexes
+                index: states[index] for index in handle.shard_indexes
             }
             handle.counts = {
                 index: counts[index] for index in handle.shard_indexes

@@ -3,9 +3,11 @@
 One worker is one OS process running :func:`worker_main` in a loop over its
 command queue (a feeder-thread ``multiprocessing.Queue``, so coordinator
 sends never block on a full OS pipe).  It owns the *live* summary objects
-for its assigned shards; the coordinator only ever sees them as
-:mod:`repro.persistence` payloads and only ever hears from them over the
-result pipe — whose EOF is the crash signal supervision relies on.
+for its assigned shards; the coordinator only ever sees them encoded by
+:func:`~repro.engine.workers.ipc.encode_shard_state` (int64 column buffers
+for columnar GK shards, :mod:`repro.persistence` payloads otherwise) and
+only ever hears from them over the result pipe — whose EOF is the crash
+signal supervision relies on.
 
 Determinism contract: the worker builds each shard summary with exactly the
 factory call the serial engine would have used
@@ -18,7 +20,9 @@ log) leans on this to make a SIGKILLed worker reconstructible.
 Telemetry: the worker keeps its own private
 :class:`~repro.obs.registry.MetricRegistry` (``worker_batch_seconds``
 histogram, ``worker_items_total``/``worker_batches_total`` counters, all
-labelled ``worker=<id>``) plus a bounded buffer of finished span records.
+labelled ``worker=<id>``) plus a bounded buffer of finished span records;
+a full buffer drops its oldest span and counts it in
+``worker_spans_dropped_total``.
 Both ship to the coordinator on every ``collect`` *as deltas* — the worker
 resets them after dumping — so the coordinator can fold them into the
 parent registry with plain ``merge`` and never double-counts.
@@ -53,11 +57,17 @@ def worker_main(
 
     import repro.summaries  # noqa: F401  (registers summary types + codecs)
     from repro.engine.config import EngineConfig
-    from repro.engine.workers.ipc import MODE_I64, MODE_INTS, decode_numeric, decode_values
+    from repro.engine.workers.ipc import (
+        MODE_I64,
+        MODE_INTS,
+        decode_numeric,
+        decode_shard_state,
+        decode_values,
+        encode_shard_state,
+    )
     from repro.model.lanes import promote_to_columnar
     from repro.model.registry import create_summary
     from repro.obs.registry import MetricRegistry
-    from repro.persistence import dump as dump_summary, load as load_summary
     from repro.universe.universe import Universe
 
     config = EngineConfig.from_payload(config_payload)
@@ -90,9 +100,14 @@ def worker_main(
             help="batches applied by this worker",
             worker=label,
         )
-        return seconds, items, batches
+        dropped = registry.counter(
+            "worker_spans_dropped_total",
+            help="finished worker spans dropped from a full buffer",
+            worker=label,
+        )
+        return seconds, items, batches, dropped
 
-    batch_seconds, items_total, batches_total = fresh_metrics()
+    batch_seconds, items_total, batches_total, spans_dropped = fresh_metrics()
 
     try:
         while True:
@@ -127,6 +142,7 @@ def worker_main(
                 batches_total.inc()
                 if len(spans) >= SPAN_BUFFER_LIMIT:
                     del spans[0]
+                    spans_dropped.inc()
                 spans.append(
                     {
                         "name": "engine.worker.apply_batch",
@@ -141,33 +157,37 @@ def worker_main(
 
             elif kind == "collect":
                 _, request_id = message
-                payloads = {
-                    index: dump_summary(shards[index]) for index in shard_indexes
+                states = {
+                    index: encode_shard_state(shards[index])
+                    for index in shard_indexes
                 }
                 result_writer.send(
-                    ("state", request_id, payloads, registry.to_payload(), spans[:])
+                    ("state", request_id, states, registry.to_payload(), spans[:])
                 )
                 # Ship deltas: fold happened coordinator-side, start afresh.
                 registry = MetricRegistry()
-                batch_seconds, items_total, batches_total = fresh_metrics()
+                batch_seconds, items_total, batches_total, spans_dropped = (
+                    fresh_metrics()
+                )
                 spans.clear()
 
             elif kind == "restore":
-                _, payloads = message
+                _, states = message
                 for index in shard_indexes:
-                    payload = payloads.get(index)
+                    state = states.get(index)
                     universes[index] = Universe()
-                    if payload is None:
+                    if state is None:
                         shards[index] = create_summary(
                             config.summary,
                             config.epsilon,
                             **config.shard_kwargs(index),
                         )
                     else:
-                        shards[index] = load_summary(payload, universes[index])
+                        shards[index] = decode_shard_state(state, universes[index])
                         if columnar:
-                            # Checkpoints store Items; adopt raw keys again
-                            # so replayed i64 batches land on columnar state.
+                            # Payload state decodes into Items; adopt raw
+                            # keys again so replayed i64 batches land on
+                            # columnar state (column state already has).
                             promote_to_columnar(shards[index])
 
             elif kind == "ping":

@@ -102,6 +102,9 @@ class LoadReport:
     raw_latencies: bool = False
     latencies_ns: dict = field(default_factory=dict)  # raw mode: op -> [ns, ...]
     histograms: dict = field(default_factory=dict)  # op -> obs Histogram
+    # Sorted ground truth and the (list id, length) of ``inserted`` it covers.
+    _sorted: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _sorted_key: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
 
     def _histogram(self, op: str) -> Histogram:
         histogram = self.histograms.get(op)
@@ -140,17 +143,33 @@ class LoadReport:
 
     # -- ground truth ---------------------------------------------------------------
 
+    def _sorted_inserted(self) -> list:
+        """Every acked inserted value, sorted; cached until ``inserted`` grows.
+
+        All-int runs (the generator's) sort as plain ints, over an order of
+        magnitude faster than building a Fraction per value; anything else
+        sorts as exact Fractions.  Both compare exactly against Fraction
+        probes.
+        """
+        key = (id(self.inserted), len(self.inserted))
+        if key != self._sorted_key:
+            if all(type(value) is int for value in self.inserted):
+                self._sorted = sorted(self.inserted)
+            else:
+                self._sorted = sorted(Fraction(value) for value in self.inserted)
+            self._sorted_key = key
+        return self._sorted
+
     def exact_rank(self, value) -> int:
         """True number of acked inserted values ``<=`` ``value``."""
-        ordered = sorted(Fraction(v) for v in self.inserted)
-        return bisect_right(ordered, Fraction(value))
+        return bisect_right(self._sorted_inserted(), Fraction(value))
 
     def max_rank_error(self, answers: dict) -> float:
         """Largest :func:`interval_rank_error` over a ``query`` response's results."""
         n = len(self.inserted)
         if n == 0:
             return 0.0
-        ordered = sorted(Fraction(v) for v in self.inserted)
+        ordered = self._sorted_inserted()
         return max(
             (
                 interval_rank_error(ordered, Fraction(entry["value"]), entry["phi"] * n)

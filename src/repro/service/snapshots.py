@@ -167,7 +167,7 @@ class SnapshotStore:
             "service.snapshot_publish", epoch=previous.epoch + 1
         ) as span:
             merged = engine.merged_summary()
-            if len(engine.shard_summaries) == 1:
+            if engine.config.shards == 1:
                 merged = copy.deepcopy(merged)
             snapshot = Snapshot(
                 epoch=previous.epoch + 1,

@@ -32,7 +32,8 @@ with no floating-point slack.
 This module also holds :func:`merge_gk` (the one-way bound-merge of two GK
 summaries, re-exported by :mod:`repro.summaries.merging`) and the GK
 persistence codec, all bundled into the capability descriptors registered at
-the bottom of the file.
+the bottom of the file, plus the int64 column form in which shard workers
+ship columnar GK state (:func:`encode_gk_columns`).
 """
 
 from __future__ import annotations
@@ -622,6 +623,72 @@ def decode_gk_state_into(
     ]
     summary._since_compress = int(payload["since_compress"])
     summary._compress_period = int(payload["compress_period"])
+
+
+# -- int64 column form (worker -> coordinator shipping) -------------------------------
+
+#: The GK variants with a column form, by summary name.
+_COLUMN_TYPES = {
+    cls.name: cls for cls in (GreenwaldKhanna, GreenwaldKhannaGreedy)
+}
+
+
+def encode_gk_columns(summary) -> tuple | None:
+    """Columnar GK state as int64 column buffers, or None when it has none.
+
+    Layout: ``(name, eps_numerator, eps_denominator, n, since_compress,
+    max_item_count, compress_period, values, gs, deltas)``, the last three
+    being ``array('q')`` buffers holding each tuple's key, g and Delta in
+    stored order.  Only ``gk``/``gk-greedy`` summaries on the columnar lane
+    whose every key is a plain int inside int64 qualify; the items lane and
+    float or wider keys return None (ship them through
+    :mod:`repro.persistence`).  Unlike the persistence payload, the exact
+    epsilon and every key survive as ints, so decoding builds no Fraction.
+    """
+    if type(summary) is not _COLUMN_TYPES.get(summary.name) or summary.lane != "columnar":
+        return None
+    tuples = summary._tuples
+    keys = [entry.value for entry in tuples]
+    if any(type(key) is not int for key in keys):
+        return None
+    try:
+        values = array("q", keys)
+        gs = array("q", [entry.g for entry in tuples])
+        deltas = array("q", [entry.delta for entry in tuples])
+    except OverflowError:
+        return None
+    eps = summary._eps
+    return (
+        summary.name,
+        eps.numerator,
+        eps.denominator,
+        summary._n,
+        summary._since_compress,
+        summary._max_item_count,
+        summary._compress_period,
+        values,
+        gs,
+        deltas,
+    )
+
+
+def decode_gk_columns(columns: tuple) -> _GKBase:
+    """Rebuild the columnar summary :func:`encode_gk_columns` shipped."""
+    name, eps_numerator, eps_denominator, n, since, peak, period, values, gs, deltas = (
+        columns
+    )
+    summary = _COLUMN_TYPES[name](
+        Fraction(eps_numerator, eps_denominator), compress_period=period
+    )
+    summary._tuples = [
+        _Tuple(value, g, delta)
+        for value, g, delta in zip(values.tolist(), gs.tolist(), deltas.tolist())
+    ]
+    summary._n = n
+    summary._since_compress = since
+    summary._max_item_count = peak
+    summary._lane = "columnar"
+    return summary
 
 
 def _decode_gk(payload: dict, universe: Universe) -> GreenwaldKhanna:

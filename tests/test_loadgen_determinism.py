@@ -7,6 +7,7 @@ ground truth — the property the canary harness builds on.
 """
 
 import asyncio
+from fractions import Fraction
 
 import pytest
 
@@ -150,3 +151,59 @@ class TestRankError:
         report = LoadReport(inserted=[1] * 50 + [5] * 50)
         answers = {"results": [{"phi": 0.2, "value": "5"}]}
         assert report.max_rank_error(answers) == pytest.approx(0.3)
+
+    @staticmethod
+    def _fraction_reference(inserted, answers):
+        """The ground truth as the Fraction sort computes it."""
+        from repro.service.loadgen import interval_rank_error
+
+        ordered = sorted(Fraction(value) for value in inserted)
+        n = len(ordered)
+        return max(
+            interval_rank_error(
+                ordered, Fraction(entry["value"]), entry["phi"] * n
+            )
+            for entry in answers["results"]
+        )
+
+    @pytest.mark.parametrize(
+        "inserted",
+        [
+            [7, 3, 3, 3, 9, 1, 1, 5, 5, 5, 5, -2] * 9,  # ints, heavy duplicates
+            [7, 3, 2.5, 3, 0.1, 9, 1, 5, 5, -2] * 9,  # floats: Fraction path
+        ],
+        ids=["ints", "mixed"],
+    )
+    def test_sorted_truth_matches_the_fraction_path(self, inserted):
+        answers = {
+            "results": [
+                {"phi": phi, "value": value}
+                for phi, value in (
+                    (0.0, "-2"),
+                    (0.1, "1"),
+                    (0.3, "5/2"),  # between stored values
+                    (0.45, "3"),
+                    (0.5, "1/10"),
+                    (0.7, "5"),
+                    (0.99, "9"),
+                    (1.0, "19/2"),
+                )
+            ]
+        }
+        report = LoadReport(inserted=list(inserted))
+        assert report.max_rank_error(answers) == self._fraction_reference(
+            inserted, answers
+        )
+        ordered = sorted(Fraction(value) for value in inserted)
+        for probe in (-3, -2, 1, Fraction(5, 2), 2.5, 3, 5, 9, 10):
+            expected = sum(1 for value in ordered if value <= Fraction(probe))
+            assert report.exact_rank(probe) == expected
+
+    def test_sorted_truth_follows_new_inserts(self):
+        report = LoadReport(inserted=[5] * 10)
+        assert report.exact_rank(5) == 10
+        report.inserted.extend([1] * 10)
+        assert report.exact_rank(1) == 10
+        assert report.exact_rank(5) == 20
+        report.inserted.append(Fraction(1, 2))  # no longer all ints
+        assert report.exact_rank(Fraction(1, 2)) == 1

@@ -49,19 +49,29 @@ def _wait_for_death(pid, timeout=5.0):
 
 
 class TestCrashRecovery:
-    def test_sigkill_mid_ingest_recovers_bit_identically(self, tight_snapshots):
+    @pytest.mark.parametrize("lane", ["items", "columnar"])
+    def test_sigkill_mid_ingest_recovers_bit_identically(
+        self, tight_snapshots, lane
+    ):
         values = _values(12_000)
         serial = ShardedQuantileEngine(
-            EngineConfig(summary="gk", epsilon=0.02, shards=4)
+            EngineConfig(summary="gk", epsilon=0.02, shards=4, lane=lane)
         )
         serial.ingest(values)
 
         config = EngineConfig(
-            summary="gk", epsilon=0.02, shards=4,
+            summary="gk", epsilon=0.02, shards=4, lane=lane,
             executor="processes", workers=2, batch_size=500,
         )
         with ShardedQuantileEngine(config) as engine:
             engine.ingest(values[:6000])
+            # A read collects every shard, so the snapshot the restart
+            # restores from is the one the read shipped: int64 columns on
+            # the columnar lane, persistence payloads on the items lane.
+            engine.quantiles([0.5])
+            snapshot = engine.executor.supervisor._handles[0].snapshot
+            expected = "columns" if lane == "columnar" else "payload"
+            assert [state[0] for state in snapshot.values()] == [expected] * 2
             victim = engine.executor.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             _wait_for_death(victim)

@@ -8,6 +8,8 @@ test in this file is some projection of that claim: identical checkpoint
 records, identical answers, identical routing buckets.
 """
 
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,14 +29,21 @@ from repro.engine import (
 from repro.engine.workers.ipc import (
     MODE_INTS,
     MODE_PAIRS,
+    STATE_COLUMNS,
+    STATE_PAYLOAD,
     all_plain_ints,
+    decode_shard_state,
     decode_values,
     encode_fractions,
+    encode_shard_state,
     fast_int_buckets,
     route_int_batch,
     shard_of_int,
 )
 from repro.errors import EngineError
+from repro.model.registry import create_summary
+from repro.persistence import dump
+from repro.universe.universe import Universe
 
 
 def _values(n, seed=7, bound=10**6):
@@ -137,6 +146,76 @@ class TestCodec:
         assert [[Fraction(v) for v in b] for b in fast] == expected
 
 
+def _shipped(summary):
+    """Encode ``summary``, push it through pickle as the pipe does, decode."""
+    state = pickle.loads(pickle.dumps(encode_shard_state(summary)))
+    return state[0], decode_shard_state(state, Universe())
+
+
+def _same_state(decoded, original):
+    assert decoded.fingerprint() == original.fingerprint()
+    assert decoded.n == original.n
+    assert decoded.max_item_count == original.max_item_count
+    if hasattr(original, "_since_compress"):
+        assert decoded._since_compress == original._since_compress
+        assert decoded._compress_period == original._compress_period
+    assert json.dumps(dump(decoded)) == json.dumps(dump(original))
+
+
+class TestShardStateCodec:
+    """The one codec shard summaries cross the worker pipe with."""
+
+    @pytest.mark.parametrize("summary", ["gk", "gk-greedy"])
+    @pytest.mark.parametrize("size", [1, 57, 100_000])
+    def test_columnar_gk_ships_as_int64_columns(self, summary, size):
+        original = create_summary(summary, 0.01)
+        original.process_numeric(_values(size, seed=size, bound=2**62) + [-(2**63)])
+        form, decoded = _shipped(original)
+        assert form == STATE_COLUMNS
+        assert type(decoded) is type(original)
+        assert decoded.lane == "columnar"
+        assert all(type(key) is int for key in decoded.item_array())
+        _same_state(decoded, original)
+
+    @pytest.mark.parametrize("summary", ["gk", "gk-greedy"])
+    def test_empty_gk_round_trips(self, summary):
+        fresh = create_summary(summary, 0.01)
+        form, decoded = _shipped(fresh)
+        assert form == STATE_PAYLOAD  # a fresh shard is on the items lane
+        _same_state(decoded, fresh)
+
+    def test_custom_compress_period_survives(self):
+        original = create_summary("gk", 0.05, compress_period=3)
+        original.process_numeric(_values(1000))
+        form, decoded = _shipped(original)
+        assert form == STATE_COLUMNS
+        _same_state(decoded, original)
+
+    @pytest.mark.parametrize(
+        "case", ["float-keys", "beyond-int64", "items-lane", "kll"]
+    )
+    def test_other_shards_fall_back_to_persistence(self, case):
+        values = _values(3000)
+        if case == "kll":
+            original = create_summary("kll", 0.05, seed=4)
+            original.process_numeric(values)
+        else:
+            original = create_summary("gk", 0.05)
+            if case == "float-keys":
+                original.process_numeric([value + 0.5 for value in values])
+            elif case == "beyond-int64":
+                original.process_numeric([2**70 + value for value in values])
+            else:
+                original.process_many(Universe().items(values))
+        form, decoded = _shipped(original)
+        assert form == STATE_PAYLOAD
+        _same_state(decoded, original)
+
+    def test_unknown_form_raises(self):
+        with pytest.raises(ValueError, match="shard-state form"):
+            decode_shard_state(("yaml", {}), Universe())
+
+
 class TestProcessPoolBitIdentity:
     @pytest.mark.parametrize("summary", ["gk", "kll"])
     @pytest.mark.parametrize("routing", ["hash", "round-robin"])
@@ -158,6 +237,33 @@ class TestProcessPoolBitIdentity:
         assert _shard_records(paths["serial"]) == _shard_records(
             paths["processes"]
         )
+
+    @pytest.mark.parametrize("summary", ["gk", "gk-greedy"])
+    def test_columnar_mirror_stays_columnar(self, tmp_path, summary):
+        values = _values(20_000, bound=10**12)
+        records, answers = {}, {}
+        for executor, lane in (
+            ("serial", "columnar"),
+            ("processes", "columnar"),
+            ("processes", "items"),
+        ):
+            config = EngineConfig(
+                summary=summary, epsilon=0.01, shards=3, lane=lane,
+                executor=executor, workers=2, batch_size=1024,
+            )
+            with ShardedQuantileEngine(config) as engine:
+                engine.ingest(values)
+                lanes = {shard.lane for shard in engine.shard_summaries}
+                assert lanes == {lane}
+                answers[executor, lane] = (
+                    engine.quantiles([0.01, 0.5, 0.99]),
+                    engine.rank_many(values[:7]),
+                )
+                path = tmp_path / f"{executor}-{lane}.jsonl"
+                engine.checkpoint(path)
+                records[executor, lane] = _shard_records(path)
+        assert len({repr(value) for value in records.values()}) == 1
+        assert len({repr(value) for value in answers.values()}) == 1
 
     def test_mixed_value_types_take_the_pairs_path_identically(self, tmp_path):
         values = []
@@ -275,6 +381,26 @@ class TestWorkerTelemetry:
             assert seconds and all(
                 metric.observations > 0 for metric in seconds
             )
+
+    def test_dropped_worker_spans_are_counted(self, monkeypatch):
+        from repro.engine.workers.worker import SPAN_BUFFER_LIMIT
+
+        # No snapshot before the read, so all 300 batch spans pile up in
+        # the worker's buffer and the oldest 300 - 256 are dropped.
+        monkeypatch.setenv("REPRO_WORKER_SNAPSHOT_EVERY", "1000")
+        config = EngineConfig(
+            summary="gk", shards=2, executor="processes", workers=1,
+            batch_size=10,
+        )
+        with ShardedQuantileEngine(config) as engine:
+            engine.ingest(_values(3000))
+            assert engine.batches_ingested == 300
+            engine.stats()
+            dropped = engine.telemetry.registry.get(
+                "worker_spans_dropped_total", worker="0"
+            )
+            assert dropped is not None
+            assert dropped.value == 300 - SPAN_BUFFER_LIMIT == 44
 
     def test_executor_stats_shape(self):
         config = EngineConfig(
