@@ -6,9 +6,20 @@ insert/compress loop expressible over flat ``int64`` arrays, so this package
 compiles ``gk_kernel.c`` with the system C compiler the first time it is
 needed and drives it through :mod:`ctypes`.  Nothing here is required for
 correctness: every caller treats a ``None`` return as "take the pure-Python
-columnar path", and the kernel itself is an exact port of the sequential
-semantics (state-identical tuples, ``n``, ``since_compress`` and
-``max_item_count``), which the lane-equivalence tests pin down.
+columnar path".
+
+The kernel applies a batch one compress period at a time: each chunk that
+ends at a compress boundary gets its values' Deltas in arrival order (an
+O(1) check against the chunk's starting min/max and the running fresh
+extremes), one stable sort, one backward merge into the tuple arrays, and
+at most one compress pass that marks deleted tuples and compacts once.
+That is the schedule of the pure-Python batch kernel
+(``_GKBase._process_batch``, the reference semantics), whose chunks never
+cross a compress boundary, so the result is state-identical to inserting
+item by item: same tuples, ``n``, ``since_compress`` and
+``max_item_count``.  ``tests/test_native_kernel.py`` checks that against
+the pure-Python path at scale, and the lane-equivalence tests pin the
+columnar lane to the items lane.
 
 Knobs:
 
@@ -17,6 +28,12 @@ Knobs:
   ``$TMPDIR/repro-native``).  The cache key hashes the kernel source and
   compiler, and the object lands under its final name via an atomic rename,
   so concurrent workers never load a half-written library.
+
+A kernel that fails to build or load leaves the compiler's stderr (or the
+loader's error) in :func:`load_error`, so a silent fallback to the Python
+path can be told apart from a missing compiler.  The library holds no
+mutable global state: the wrapper passes every scratch buffer in, so
+forked workers share the loaded object safely.
 """
 
 from __future__ import annotations
@@ -41,15 +58,19 @@ _FRACTION_LIMIT = 1 << 62
 #: shifts) far below int64.
 _COUNT_LIMIT = 1 << 40
 
-_INT64_POINTER = ctypes.POINTER(ctypes.c_int64)
-
 _lib: ctypes.CDLL | None = None
 _load_failed = False
+_load_error: str | None = None
 
 
 def native_disabled() -> bool:
     """True when the ``REPRO_NO_NATIVE`` kill switch is set."""
     return bool(os.environ.get(DISABLE_ENV))
+
+
+def load_error() -> str | None:
+    """Why the kernel failed to build or load (compiler stderr), if it did."""
+    return _load_error
 
 
 def _cache_dir() -> Path:
@@ -64,8 +85,10 @@ def _compiler() -> str | None:
 
 
 def _compile() -> Path | None:
+    global _load_error
     compiler = _compiler()
     if compiler is None:
+        _load_error = "no C compiler found (CC, cc, gcc)"
         return None
     source = _SOURCE.read_text()
     digest = hashlib.sha256(f"{compiler}\n{source}".encode()).hexdigest()[:16]
@@ -73,8 +96,12 @@ def _compile() -> Path | None:
     target = cache / f"gk_kernel-{digest}.so"
     if target.exists():
         return target
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, scratch = tempfile.mkstemp(suffix=".so", dir=cache)
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, scratch = tempfile.mkstemp(suffix=".so", dir=cache)
+    except OSError as exc:
+        _load_error = f"cannot create {cache}: {exc}"
+        return None
     os.close(fd)
     try:
         subprocess.run(
@@ -84,7 +111,9 @@ def _compile() -> Path | None:
             timeout=120,
         )
         os.replace(scratch, target)
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError) as exc:
+        stderr = getattr(exc, "stderr", None) or b""
+        _load_error = f"{exc}\n{stderr.decode(errors='replace')}".rstrip()
         try:
             os.unlink(scratch)
         except OSError:
@@ -94,7 +123,7 @@ def _compile() -> Path | None:
 
 
 def _load() -> ctypes.CDLL | None:
-    global _lib, _load_failed
+    global _lib, _load_failed, _load_error
     if _lib is not None:
         return _lib
     if _load_failed:
@@ -107,30 +136,25 @@ def _load() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
         lib.gk_batch.restype = ctypes.c_int64
         lib.gk_batch.argtypes = [
-            _INT64_POINTER,  # vals
-            _INT64_POINTER,  # gs
-            _INT64_POINTER,  # deltas
+            ctypes.c_void_p,  # int64 vals
+            ctypes.c_void_p,  # int64 gs
+            ctypes.c_void_p,  # int64 deltas
             ctypes.c_int64,  # size
-            _INT64_POINTER,  # batch
+            ctypes.c_void_p,  # int64 batch
             ctypes.c_int64,  # batch_len
-            _INT64_POINTER,  # state [n, since_compress, max_item_count]
+            ctypes.c_void_p,  # int64 state [n, since_compress, max_item_count]
             ctypes.c_int64,  # period
             ctypes.c_int64,  # eps_p
             ctypes.c_int64,  # eps_q
             ctypes.c_int32,  # greedy
-            _INT64_POINTER,  # bands scratch
+            ctypes.c_void_p,  # int64 scratch: marks, then sort pairs
         ]
-    except (OSError, AttributeError):
+    except (OSError, AttributeError) as exc:
+        _load_error = f"cannot load {path}: {exc}"
         _load_failed = True
         return None
     _lib = lib
     return _lib
-
-
-def _as_pointer(buffer: array):
-    return ctypes.cast(
-        (ctypes.c_int64 * len(buffer)).from_buffer(buffer), _INT64_POINTER
-    )
 
 
 def gk_batch(
@@ -146,56 +170,61 @@ def gk_batch(
     eps_q: int,
     greedy: bool,
 ):
-    """Apply ``batch`` to GK tuple state with the native insert loop.
+    """Apply ``batch`` to GK tuple state with the native kernel.
 
-    Returns ``(values, gs, deltas, n, since_compress, max_item_count)`` on
-    success, or ``None`` when the kernel is unavailable or the inputs are
-    outside its int64-safe envelope (huge ints, floats, enormous epsilon
-    fractions, streams past 2^40 items) — callers then run the pure-Python
-    columnar path, which is state-identical.
+    ``batch`` may be a list or an ``array('q')``; the latter is handed to C
+    without a copy.  Returns ``(values, gs, deltas, n, since_compress,
+    max_item_count)`` on success, or ``None`` when the kernel is unavailable
+    or the inputs are outside its int64-safe envelope (huge ints, floats,
+    enormous epsilon fractions, 2 eps >= 2, streams past 2^40 items) —
+    callers then run the pure-Python columnar path, which is
+    state-identical.
     """
     if native_disabled():
         return None
     lib = _load()
     if lib is None:
         return None
-    if eps_p >= _FRACTION_LIMIT or eps_q >= _FRACTION_LIMIT:
+    if eps_p >= _FRACTION_LIMIT or eps_q >= _FRACTION_LIMIT or eps_p >= 2 * eps_q:
         return None
-    if n + len(batch) >= _COUNT_LIMIT or period >= _COUNT_LIMIT:
+    size, batch_len = len(values), len(batch)
+    if n + batch_len >= _COUNT_LIMIT or not 1 <= period < _COUNT_LIMIT:
         return None
-    padding = bytes(8 * len(batch))
+    # One zeroed buffer per call: the value, g and delta columns with room
+    # for every batch value, then the kernel's scratch (a mark per tuple,
+    # then two buffers of (key, delta) pairs for the largest chunk's sort).
+    cap = size + batch_len
+    columns = array("q", [0]) * (4 * cap + 4 * min(period, batch_len))
     try:
-        vals_arr = array("q", values)
-        g_arr = array("q", gs)
-        d_arr = array("q", deltas)
-        batch_arr = array("q", batch)
+        columns[:size] = array("q", values)
+        columns[cap : cap + size] = array("q", gs)
+        columns[2 * cap : 2 * cap + size] = array("q", deltas)
+        if not (isinstance(batch, array) and batch.typecode == "q"):
+            batch = array("q", batch)
     except (OverflowError, TypeError):
         return None
-    vals_arr.frombytes(padding)
-    g_arr.frombytes(padding)
-    d_arr.frombytes(padding)
-    bands = array("q", bytes(8 * len(vals_arr)))
     state = array("q", [n, since_compress, max_item_count])
+    base = columns.buffer_info()[0]
     new_size = lib.gk_batch(
-        _as_pointer(vals_arr),
-        _as_pointer(g_arr),
-        _as_pointer(d_arr),
-        len(values),
-        _as_pointer(batch_arr),
-        len(batch),
-        _as_pointer(state),
+        base,
+        base + 8 * cap,
+        base + 16 * cap,
+        size,
+        batch.buffer_info()[0],
+        batch_len,
+        state.buffer_info()[0],
         period,
         eps_p,
         eps_q,
         1 if greedy else 0,
-        _as_pointer(bands),
+        base + 24 * cap,
     )
-    if new_size < 0 or new_size > len(vals_arr):  # pragma: no cover - guard
+    if new_size < 0 or new_size > cap:  # pragma: no cover - guard
         return None
     return (
-        vals_arr[:new_size].tolist(),
-        g_arr[:new_size].tolist(),
-        d_arr[:new_size].tolist(),
+        columns[:new_size].tolist(),
+        columns[cap : cap + new_size].tolist(),
+        columns[2 * cap : 2 * cap + new_size].tolist(),
         state[0],
         state[1],
         state[2],

@@ -275,13 +275,14 @@ class _GKBase(QuantileSummary):
         The insert/compress machinery only ever *compares* keys, so running
         the existing batch kernel over raw numbers is state-identical to the
         items lane; int64-safe batches additionally take the native kernel
-        (:mod:`repro.native`), which ports the same sequential semantics to
-        flat arrays.  A summary with live comparison-model state stays in
-        the items lane — only empty or already-columnar summaries switch.
+        (:mod:`repro.native`), which runs the same chunk-per-compress-period
+        schedule over flat int64 arrays.  A summary with live
+        comparison-model state stays in the items lane — only empty or
+        already-columnar summaries switch.
 
         Buffer-backed batches (``array('q')`` from the routing fast path or
         the frame wire) are consumed as-is: the kernels only slice and
-        read, and the native kernel memcpy-extends the buffer directly.
+        read, and the native kernel reads the buffer in place.
         """
         batch = values if isinstance(values, (list, array)) else list(values)
         if not batch:
